@@ -7,10 +7,6 @@ GO ?= go
 
 .PHONY: check fmt vet build test lint sharing-report race fuzz serve-smoke bench bench-check benchfull experiments
 
-# Inside `make check`, a missing-dependency lint probe downgrades to a
-# loud skip (exit 0) so the rest of the gate still runs; standalone
-# `make lint` keeps the hard failure.
-check: LINT_MISSING_DEPS_EXIT = 0
 check: fmt vet build test lint race serve-smoke fuzz
 
 fmt:
@@ -33,28 +29,8 @@ test:
 # The linter is deliberately stdlib-only — golang.org/x/tools
 # cannot be fetched in the offline/hermetic builds this repo targets,
 # so internal/lint/analysis mirrors the go/analysis surface instead of
-# pinning x/tools in go.mod (see ARCHITECTURE.md). The build probe
-# below exists for the day a module dependency creeps back in: if the
-# linter can't build because modules are unresolvable offline, fail
-# fast with an explicit message (standalone default, exit 1) or skip
-# loudly (LINT_MISSING_DEPS_EXIT=0, what `make check` sets) instead of
-# dying mid-gate on a cryptic resolution error.
-LINT_MISSING_DEPS_EXIT ?= 1
+# pinning x/tools in go.mod (see ARCHITECTURE.md).
 lint:
-	@err=$$($(GO) build -o /dev/null ./cmd/repolint 2>&1); status=$$?; \
-	if [ $$status -ne 0 ]; then \
-		if echo "$$err" | grep -qE 'no required module provides|missing go.sum entry|cannot find module|cannot query module'; then \
-			echo "WARNING: repolint's dependencies cannot be resolved in this (offline?) build:" >&2; \
-			echo "$$err" >&2; \
-			if [ "$(LINT_MISSING_DEPS_EXIT)" = "0" ]; then \
-				echo "WARNING: skipping repolint — the determinism/ownership contracts were NOT checked." >&2; \
-			else \
-				echo "repolint is part of the gate; fix the module graph or run 'make check' for a loud skip." >&2; \
-			fi; \
-			exit $(LINT_MISSING_DEPS_EXIT); \
-		fi; \
-		echo "$$err" >&2; exit $$status; \
-	fi; \
 	$(GO) run ./cmd/repolint ./...
 
 # Regenerate the PDES sharing baseline (the sharedmut analyzer's
@@ -116,7 +92,7 @@ fuzz:
 # allocation regression gate lives in `test`: TestRunSteadyStateAllocs
 # plus its sink/stream companions (constant allocs with an Online sink).
 # BENCH_TRIALS > 1 repeats the suite as separate processes (benchreport
-# -exec); benchreport folds the repeated lines into mean/stdev records,
+# runs each trial itself); it folds the repeated lines into mean/stdev records,
 # and bench-check then treats over-threshold drops whose noise
 # intervals overlap as warnings rather than failures. Each trial
 # process additionally contributes a trial_resources record — wall /
@@ -134,11 +110,11 @@ BENCH_REGEX = EmulatorThroughput|SweepWorkers|SchedulerPathAblation
 # The report lands in a temp file first so neither a failed benchmark
 # trial nor a parse error can truncate the recorded
 # BENCH_$(BENCH_N).json (`>` truncates before the command runs).
-# benchreport -exec runs the go test child itself — one process per
+# benchreport runs the go test child itself — one process per
 # trial — and -raw preserves the combined raw benchmark text alongside
 # the JSON for debugging a failed run.
 bench:
-	$(GO) run ./cmd/benchreport -exec -trials $(BENCH_TRIALS) \
+	$(GO) run ./cmd/benchreport -trials $(BENCH_TRIALS) \
 		-raw BENCH_$(BENCH_N).out \
 		$(GO) test -run NONE -bench '$(BENCH_REGEX)' \
 		-benchmem -benchtime 10x . > BENCH_$(BENCH_N).json.tmp
@@ -155,7 +131,7 @@ bench:
 # survives); run `make bench` to record a new trajectory point.
 BENCH_PREV ?= 5
 bench-check:
-	@status=0; $(GO) run ./cmd/benchreport -exec -trials $(BENCH_TRIALS) \
+	@status=0; $(GO) run ./cmd/benchreport -trials $(BENCH_TRIALS) \
 		-prev BENCH_$(BENCH_PREV).json \
 		$(GO) test -run NONE -bench '$(BENCH_REGEX)' \
 		-benchmem -benchtime 10x . > /dev/null || status=$$?; \

@@ -1,9 +1,19 @@
-// Command benchreport converts `go test -bench -benchmem` output read
-// from stdin into a machine-readable JSON record, so the repository's
-// performance trajectory is pinned in version control instead of
-// commit messages.
+// Command benchreport runs a `go test -bench -benchmem` command and
+// converts its output into a machine-readable JSON record, so the
+// repository's performance trajectory is pinned in version control
+// instead of commit messages.
 //
-//	go test -run NONE -bench 'EmulatorThroughput|SweepWorkers' -benchmem . | benchreport > BENCH_4.json
+//	benchreport -trials 3 -raw BENCH_5.out go test -run NONE -bench . -benchmem . > BENCH_5.json
+//
+// The trailing arguments are the benchmark command. benchreport runs
+// it once per trial, each in its own process, which is what lets a
+// BENCH file record each trial's OS resource usage (user/system CPU
+// seconds and peak RSS via the child's rusage) and its total
+// stop-the-world GC pause (the command runs under GODEBUG=gctrace=1;
+// the sweep- and mark-termination clock phases of every gc line are
+// summed, covering the whole process tree of the trial). The
+// per-trial records land in trial_resources; -raw also keeps the
+// combined raw benchmark output.
 //
 // For benchmarks that report a tasks/op metric (the emulator
 // throughput benches), the derived tasks_per_sec field is the headline
@@ -17,16 +27,17 @@
 // additionally carries an explicit speedup_vs_1 metric (ns/op of
 // workers=1 over ns/op of workers=N).
 //
-// Multi-trial runs: `go test -count N -bench` emits N result lines
-// per benchmark. Repeated lines of one name are aggregated into a
-// single record carrying the mean of every column plus trials,
-// ns_per_op_stdev and tasks_per_sec_stdev, so a BENCH_N.json records
-// the spread of the measurement, not just one draw. Single-trial
-// output is unchanged (the extra fields are omitted).
+// Multi-trial runs: the combined stdout of all trials carries one
+// result line per benchmark per trial (as does `go test -count N`).
+// Repeated lines of one name are aggregated into a single record
+// carrying the mean of every column plus trials, ns_per_op_stdev and
+// tasks_per_sec_stdev, so a BENCH_N.json records the spread of the
+// measurement, not just one draw. Single-trial output omits the extra
+// fields.
 //
 // Comparison mode:
 //
-//	benchreport -prev BENCH_3.json < bench.out > BENCH_4.json
+//	benchreport -prev BENCH_3.json -trials 3 go test -run NONE -bench . -benchmem . > BENCH_4.json
 //
 // prints per-benchmark deltas against the previous record to stderr
 // and exits non-zero when any benchmark's tasks_per_sec regressed by
@@ -34,21 +45,6 @@
 // When both records carry trial spreads and their mean±stdev intervals
 // overlap, an over-threshold drop is reported as a warning instead of
 // failing the gate: the measurement cannot distinguish the two runs.
-//
-// Exec mode:
-//
-//	benchreport -exec -trials 3 -raw BENCH_5.out go test -run NONE -bench . -benchmem . > BENCH_5.json
-//
-// runs the benchmark command itself, once per trial, instead of
-// reading a pipe — which is what lets a BENCH file record what a pipe
-// cannot carry: each trial's OS resource usage (user/system CPU
-// seconds and peak RSS via the child's rusage) and its total
-// stop-the-world GC pause (the command runs under GODEBUG=gctrace=1;
-// the sweep- and mark-termination clock phases of every gc line are
-// summed, covering the whole process tree of the trial). The combined
-// stdout of all trials is parsed as usual, so repeated benchmark lines
-// fold into mean/stdev records exactly like -count output, and the
-// per-trial records land in trial_resources.
 package main
 
 import (
@@ -105,13 +101,13 @@ type Report struct {
 	// worker curves are indistinguishable noise.
 	SingleCPUHost bool        `json:"single_cpu_host"`
 	Benchmarks    []Benchmark `json:"benchmarks"`
-	// TrialResources is one record per -exec trial process: OS-level
-	// cost (rusage) and GC stop-the-world totals that per-op columns
-	// cannot express. Absent for piped (non-exec) input.
+	// TrialResources is one record per trial process: OS-level cost
+	// (rusage) and GC stop-the-world totals that per-op columns cannot
+	// express.
 	TrialResources []TrialResource `json:"trial_resources,omitempty"`
 }
 
-// TrialResource is the resource footprint of one exec-mode trial.
+// TrialResource is the resource footprint of one trial.
 type TrialResource struct {
 	WallSec float64 `json:"wall_sec"`
 	UserSec float64 `json:"user_sec,omitempty"`
@@ -127,34 +123,24 @@ type TrialResource struct {
 func main() {
 	prev := flag.String("prev", "", "previous BENCH_N.json to diff against; >max-regress tasks/sec regressions exit non-zero")
 	maxRegress := flag.Float64("max-regress", 0.10, "tolerated fractional tasks/sec regression in -prev mode")
-	execMode := flag.Bool("exec", false, "run the benchmark command given as trailing arguments instead of reading stdin")
-	trials := flag.Int("trials", 1, "exec mode: how many times to run the command (one process, one trial_resources record each)")
-	rawPath := flag.String("raw", "", "exec mode: also write the combined raw benchmark output to this file")
+	trials := flag.Int("trials", 1, "how many times to run the command (one process, one trial_resources record each)")
+	rawPath := flag.String("raw", "", "also write the combined raw benchmark output to this file")
 	flag.Parse()
 
+	out, resources, err := runTrials(flag.Args(), *trials, *rawPath)
 	var rep *Report
-	var err error
-	if *execMode {
-		var out []byte
-		var resources []TrialResource
-		out, resources, err = runTrials(flag.Args(), *trials, *rawPath)
-		if err == nil {
-			rep, err = parse(bytes.NewReader(out))
-		}
-		if rep != nil {
-			rep.TrialResources = resources
-		}
-	} else {
-		rep, err = parse(os.Stdin)
+	if err == nil {
+		rep, err = parse(bytes.NewReader(out))
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchreport:", err)
 		os.Exit(1)
 	}
 	if len(rep.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "benchreport: no benchmark lines on stdin")
+		fmt.Fprintln(os.Stderr, "benchreport: no benchmark lines in the command's output")
 		os.Exit(1)
 	}
+	rep.TrialResources = resources
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
@@ -441,7 +427,7 @@ func deriveSweepSpeedups(rep *Report) {
 // forwarded so test failures stay visible.
 func runTrials(args []string, n int, rawPath string) ([]byte, []TrialResource, error) {
 	if len(args) == 0 {
-		return nil, nil, fmt.Errorf("-exec needs a command: benchreport -exec [-trials N] go test -bench ...")
+		return nil, nil, fmt.Errorf("no benchmark command: benchreport [-trials N] go test -bench ...")
 	}
 	if n < 1 {
 		n = 1

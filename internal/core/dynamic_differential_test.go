@@ -282,10 +282,79 @@ func TestIndexedMatchesSlicePathUnderEventsStream(t *testing.T) {
 	}
 }
 
+// TestManyDVFSClassesRunIndexed is the regression test for DVFS-heavy
+// schedules: 72 distinct SetSpeedAt speeds on ZCU102 intern well past
+// 64 cost classes. The emulator must stay on the indexed path, push
+// metadata re-lowered against the view's extended class table
+// (dynMeta), and produce reports byte-identical to the same schedule
+// under sched.SliceOnly, for every built-in policy.
+func TestManyDVFSClassesRunIndexed(t *testing.T) {
+	cfg := zcu(t, 3, 2)
+	n := len(cfg.PEs)
+	const steps = 72
+	ev := platevent.New()
+	for i := 0; i < steps; i++ {
+		ev.SetSpeedAt(vtime.Time(1_000+1_000*i), i%n, 0.5+0.02*float64(i))
+	}
+	// The first half of the dynamic trace (~80us of arrivals) keeps the
+	// three-core board's ready window, and the slice oracle's scans of
+	// it, short while every step still lands mid-run.
+	trace := dynamicWorkload(t)[:32]
+	for _, policyName := range sched.Names() {
+		t.Run(policyName, func(t *testing.T) {
+			run := func(p sched.Policy, wantPath string) *stats.Report {
+				e, err := New(Options{
+					Config: cfg, Policy: p, Registry: apps.Registry(),
+					Seed: 42, JitterSigma: 0.03, SkipExecution: true, Events: ev,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if e.SchedulerPath() != wantPath {
+					t.Fatalf("SchedulerPath = %q, want %q", e.SchedulerPath(), wantPath)
+				}
+				if e.view.NumClasses() <= 64 {
+					t.Fatalf("schedule interned only %d classes", e.view.NumClasses())
+				}
+				rep, err := e.Run(trace)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(e.dynMeta) == 0 {
+					t.Fatal("no metadata was re-lowered for the DVFS classes")
+				}
+				if rep.SchedulerPath != wantPath || rep.PlatEvents != steps {
+					t.Fatalf("report path %q with %d events, want %q with %d",
+						rep.SchedulerPath, rep.PlatEvents, wantPath, steps)
+				}
+				return rep
+			}
+			indexed, _ := sched.New(policyName, 5)
+			slice, _ := sched.New(policyName, 5)
+			got := run(indexed, SchedulerPathIndexed)
+			want := run(sched.SliceOnly(slice), SchedulerPathSlice)
+			compareReports(t, want, got)
+			// SchedulerPath is provenance, the one field allowed to differ.
+			got.SchedulerPath, want.SchedulerPath = "", ""
+			gotJSON, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantJSON, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Fatal("indexed report JSON diverged from the SliceOnly run")
+			}
+		})
+	}
+}
+
 // fuzzSpeeds and fuzzCaps are the ladders FuzzEventSchedule draws from:
-// a handful of values keeps the interned class count far below the
-// 64-class ceiling while still exercising re-interning and caps that
-// mask none, some, or all CPU classes.
+// a handful of values keeps the interned class count small while still
+// exercising re-interning and caps that mask none, some, or all CPU
+// classes.
 var (
 	fuzzSpeeds = [...]float64{0.5, 0.8, 1.2, 1.9}
 	fuzzCaps   = [...]float64{0, 0.3, 0.5, 1.0, 1.7}

@@ -129,15 +129,14 @@ type Emulator struct {
 	peViews []sched.PE
 	// view is the incrementally maintained indexed scheduler state
 	// (per-class idle bitmaps, per-PE load/availability, the ready list
-	// with compiled metadata). nil only for configurations outside the
-	// index's representation (> 64 interned cost classes), which fall
-	// back to per-invocation slice rebuilds.
+	// with compiled metadata). Every emulator has one, whatever the
+	// number of cost classes: its deque is the one and only ready list.
 	view *sched.View
 	// schedPath names the scheduling path this emulator resolved to at
-	// construction (SchedulerPath* constants): which ready-list and
-	// policy machinery every Run uses. Exposed through SchedulerPath()
-	// and stamped into each report, so a configuration that silently
-	// misses the fast path is visible instead of just slow.
+	// construction (SchedulerPath* constants): which policy machinery
+	// every Run uses. Exposed through SchedulerPath() and stamped into
+	// each report, so a run that misses the fast path is visible
+	// instead of just slow.
 	schedPath string
 	// streamed marks that the last Run went through RunStream, whose
 	// instance recycling makes Instances() meaningless (it would always
@@ -148,10 +147,6 @@ type Emulator struct {
 	// map probe without cache locking.
 	programs map[*appmodel.AppSpec]*Program
 
-	// ready backs the no-view fallback only (configurations with > 64
-	// interned cost classes): a plain slice with filter compaction. When a
-	// view exists, the view's deque is the one and only ready list.
-	ready     []*Task
 	instances []*AppInstance
 	// nextIdx is the next not-yet-injected entry of instances (slice
 	// runs only).
@@ -187,22 +182,17 @@ type Emulator struct {
 }
 
 // SchedulerPath values: which scheduling machinery an emulator's runs
-// use. The distinction used to be invisible — a configuration past the
-// index's representation silently fell back to per-invocation slice
-// rebuilds — so the resolved path is now exposed on the emulator and
-// stamped into every report.
+// use, exposed on the emulator and stamped into every report. Both
+// paths share the view's incrementally maintained ready list; they
+// differ only in what the policy consumes.
 const (
 	// SchedulerPathIndexed: indexed view + the policy's ScheduleIndexed
 	// fast path — the intended steady state for every built-in policy.
 	SchedulerPathIndexed = "indexed"
-	// SchedulerPathSlice: the view maintains the ready list
-	// incrementally, but the policy (third-party, or wrapped in
-	// sched.SliceOnly) consumes slice views.
+	// SchedulerPathSlice: the policy (third-party, or wrapped in
+	// sched.SliceOnly) consumes the view's ready window and the PE
+	// table as slices.
 	SchedulerPathSlice = "slice"
-	// SchedulerPathSliceRebuild: no indexed view at all (> 64 interned
-	// cost classes, or a PE without a valid TypeID); ready views are
-	// rebuilt per invocation.
-	SchedulerPathSliceRebuild = "slice-rebuild"
 )
 
 // New validates the options and builds an emulator. Degenerate
@@ -254,38 +244,24 @@ func New(opts Options) (*Emulator, error) {
 		e.handlers = append(e.handlers, h)
 		e.peViews = append(e.peViews, h)
 	}
+	// Every PE is typed (checked above), so the view always exists.
 	e.view = sched.NewView(e.peViews)
 	e.platEvents = opts.Events.Events()
-	if e.view != nil {
-		// Pre-intern every DVFS target signature: the event schedule is
-		// known now, so the view's class table is complete (and stable
-		// across runs) before the first task is compiled against it. A
-		// schedule that pushes past the 64-class ceiling drops the whole
-		// emulator to the slice-rebuild path — observable below via
-		// SchedulerPath, never a mid-run surprise.
-		for _, ev := range e.platEvents {
-			if ev.Kind != platevent.SetSpeed {
-				continue
-			}
+	// Pre-intern every DVFS target signature: the event schedule is
+	// known now, so the view's class table is complete (and stable
+	// across runs) before the first task is pushed against it.
+	for _, ev := range e.platEvents {
+		if ev.Kind == platevent.SetSpeed {
 			h := e.handlers[ev.PE]
-			if e.view.InternClass(int32(h.TypeID()), ev.Speed, h.PowerW()) < 0 {
-				e.view = nil
-				break
-			}
+			e.view.InternClass(int32(h.TypeID()), ev.Speed, h.PowerW())
 		}
 	}
-	if e.view != nil && e.view.NumClasses() > opts.Config.NumClasses() {
+	if e.view.NumClasses() > opts.Config.NumClasses() {
 		e.dynMeta = make(map[*progNode]*sched.ReadyMeta)
 	}
-	switch {
-	case e.view == nil:
-		e.schedPath = SchedulerPathSliceRebuild
-	default:
-		if _, ok := opts.Policy.(sched.IndexedPolicy); ok {
-			e.schedPath = SchedulerPathIndexed
-		} else {
-			e.schedPath = SchedulerPathSlice
-		}
+	e.schedPath = SchedulerPathSlice
+	if _, ok := opts.Policy.(sched.IndexedPolicy); ok {
+		e.schedPath = SchedulerPathIndexed
 	}
 	return e, nil
 }
@@ -318,7 +294,6 @@ func (e *Emulator) program(spec *appmodel.AppSpec) (*Program, error) {
 func (e *Emulator) beginRun() *Scratch {
 	s := e.opts.Scratch
 	e.clock.Reset()
-	e.ready = s.ready[:0]
 	e.instances = nil
 	e.nextIdx = 0
 	e.src = nil
@@ -335,9 +310,7 @@ func (e *Emulator) beginRun() *Scratch {
 	for _, h := range e.handlers {
 		h.resetForRun()
 	}
-	if e.view != nil {
-		e.view.Reset()
-	}
+	e.view.Reset()
 	e.streamed = false
 	s.clearMasks()
 	s.events = s.events[:0]
@@ -352,15 +325,14 @@ func (e *Emulator) beginRun() *Scratch {
 	return s
 }
 
-// endRun hands the ready backing array and the realised task count
-// back to the scratch on every exit — error paths included — and
+// endRun hands the realised task count back to the scratch on every
+// exit — error paths included — and
 // clears everything that must not outlive this run (see
 // Scratch.release). Stream free lists survive between runs: they are
 // bounded by the peak in-flight instance count and reference only
 // templates the emulator's program cache pins anyway, so retaining
 // them keeps back-to-back streamed runs allocation-free.
 func (e *Emulator) endRun(s *Scratch) {
-	s.ready = e.ready[:0]
 	if e.opts.Sink == nil {
 		s.noteTaskCount(len(e.report.Tasks))
 	}
@@ -717,9 +689,7 @@ func (e *Emulator) faultPE(pi int, now vtime.Time) {
 	}
 	h.status = StatusFaulted
 	h.busyUntil = 0
-	if e.view != nil {
-		e.view.FaultPE(pi)
-	}
+	e.view.FaultPE(pi)
 }
 
 // requeue returns a fault-orphaned task to the ready list as of now.
@@ -744,9 +714,7 @@ func (e *Emulator) restorePE(pi int) {
 	h.faulted = false
 	h.status = StatusIdle
 	h.busyUntil = 0
-	if e.view != nil {
-		e.view.RestorePE(pi)
-	}
+	e.view.RestorePE(pi)
 }
 
 // setSpeed applies a DVFS step: the handler's speed factor changes and
@@ -755,20 +723,12 @@ func (e *Emulator) restorePE(pi int) {
 func (e *Emulator) setSpeed(pi int, speed float64) {
 	h := e.handlers[pi]
 	h.speed = speed
-	if e.view != nil {
-		e.view.SetClass(pi, e.view.InternClass(int32(h.TypeID()), speed, h.PowerW()))
-	}
+	e.view.SetClass(pi, e.view.InternClass(int32(h.TypeID()), speed, h.PowerW()))
 }
 
-// pushReady appends a task to the ready list. With an indexed view
-// the view's deque IS the ready list (one structure, one compaction);
-// the emulator-owned slice only backs the no-view fallback.
+// pushReady appends a task to the ready list: the view's deque.
 func (e *Emulator) pushReady(t *Task) {
-	if e.view != nil {
-		e.view.PushReady(t, e.metaOf(t))
-		return
-	}
-	e.ready = append(e.ready, t)
+	e.view.PushReady(t, e.metaOf(t))
 }
 
 // metaOf resolves the ready metadata pushed with a task: the compiled
@@ -788,32 +748,6 @@ func (e *Emulator) metaOf(t *Task) *sched.ReadyMeta {
 	*m = e.view.MetaFor(nd.choices)
 	e.dynMeta[nd] = m
 	return m
-}
-
-// readyLen is the live ready count.
-func (e *Emulator) readyLen() int {
-	if e.view != nil {
-		return e.view.ReadyLen()
-	}
-	return len(e.ready)
-}
-
-// consumeReady applies a scheduling batch's removals to the fallback
-// ready slice with a plain order-preserving filter. The fallback is a
-// cold path (exotic > 64-class configurations only), so it keeps the
-// simplest correct shape; the performance-bearing equivalent for
-// view-backed runs is View.CompactReady's prefix-consuming deque.
-func (e *Emulator) consumeReady(remove []bool) {
-	kept := e.ready[:0]
-	for i, t := range e.ready {
-		if !remove[i] {
-			kept = append(kept, t)
-		}
-	}
-	for i := len(kept); i < len(e.ready); i++ {
-		e.ready[i] = nil // dropped slots must not pin instance slabs
-	}
-	e.ready = kept
 }
 
 // injectInstance marks the instance injected at now and appends its
@@ -901,9 +835,7 @@ func (e *Emulator) loop() error {
 			h.status = StatusComplete
 			e.completeTask(h, now)
 			completions++
-			if e.view != nil {
-				e.view.AddLoad(int(h.idx), -1)
-			}
+			e.view.AddLoad(int(h.idx), -1)
 			// Reservation-queue PEs pull their next task locally,
 			// without waiting for a scheduler invocation — the
 			// low-overhead dispatch the paper's future work targets.
@@ -913,9 +845,7 @@ func (e *Emulator) loop() error {
 				}
 			} else {
 				h.status = StatusIdle
-				if e.view != nil {
-					e.view.MarkIdle(int(h.idx))
-				}
+				e.view.MarkIdle(int(h.idx))
 			}
 		}
 		if completions > 0 {
@@ -931,7 +861,7 @@ func (e *Emulator) loop() error {
 		}
 
 		// Run the heuristic scheduler over the ready list.
-		if dirty && e.readyLen() > 0 {
+		if dirty && e.view.ReadyLen() > 0 {
 			if _, err := e.schedule(); err != nil {
 				return err
 			}
@@ -958,21 +888,15 @@ func (e *Emulator) loop() error {
 			}
 		}
 		if !anyRunning && !morePending {
-			if e.readyLen() == 0 {
+			if e.view.ReadyLen() == 0 {
 				// Emulation complete. Trailing platform events with
 				// nothing running, ready or arriving never apply — they
 				// cannot affect the makespan.
 				return nil
 			}
 			if e.evCursor >= len(e.platEvents) {
-				first := ""
-				if e.view != nil {
-					first = e.view.Ready()[0].Label()
-				} else {
-					first = e.ready[0].Label()
-				}
 				return fmt.Errorf("core: %d ready tasks cannot be scheduled on config %s (policy %s): first is %s",
-					e.readyLen(), e.opts.Config.Name, e.opts.Policy.Name(), first)
+					e.view.ReadyLen(), e.opts.Config.Name, e.opts.Policy.Name(), e.view.Ready()[0].Label())
 			}
 			// Ready tasks are stranded (their capable PEs faulted or
 			// capped away), but platform events remain: one may free
@@ -1002,29 +926,17 @@ func (e *Emulator) loop() error {
 func (e *Emulator) schedule() (bool, error) {
 	now := e.clock.Now()
 	s := e.opts.Scratch
+	// The maintained view: indexed policies consume the per-class idle
+	// bitmaps directly; everything else gets the incrementally
+	// maintained ready slice plus the fixed PE table — either way,
+	// nothing is rebuilt per invocation.
 	var res sched.Result
-	if e.view != nil {
-		// The maintained view: indexed policies consume the per-type
-		// idle bitmaps directly; everything else gets the incrementally
-		// maintained ready slice plus the fixed PE table — either way,
-		// nothing is rebuilt per invocation.
-		if ip, ok := e.opts.Policy.(sched.IndexedPolicy); ok {
-			res = ip.ScheduleIndexed(now, e.view)
-		} else {
-			res = e.opts.Policy.Schedule(now, e.view.Ready(), e.peViews)
-		}
+	if ip, ok := e.opts.Policy.(sched.IndexedPolicy); ok {
+		res = ip.ScheduleIndexed(now, e.view)
 	} else {
-		// Exotic configuration (> 64 interned cost classes): rebuild the ready
-		// view per invocation from scratch buffers. The Policy contract
-		// forbids retaining the slices, so the buffers are safe to
-		// reuse across invocations and across emulations.
-		readyViews := s.readyViews[:0]
-		for _, t := range e.ready {
-			readyViews = append(readyViews, t)
-		}
-		s.readyViews = readyViews
-		res = e.opts.Policy.Schedule(now, readyViews, e.peViews)
+		res = e.opts.Policy.Schedule(now, e.view.Ready(), e.peViews)
 	}
+	readyLen := e.view.ReadyLen()
 
 	ops := res.Ops + e.pendingMonitorOps + invocationBaseOps +
 		dispatchOpsPerTask*len(res.Assignments)
@@ -1033,9 +945,9 @@ func (e *Emulator) schedule() (bool, error) {
 	e.report.Sched.Invocations++
 	e.report.Sched.TotalOps += int64(ops)
 	e.report.Sched.OverheadNS += int64(overhead)
-	e.report.Sched.TotalReadyLn += int64(e.readyLen())
-	if e.readyLen() > e.report.Sched.MaxReadyLen {
-		e.report.Sched.MaxReadyLen = e.readyLen()
+	e.report.Sched.TotalReadyLn += int64(readyLen)
+	if readyLen > e.report.Sched.MaxReadyLen {
+		e.report.Sched.MaxReadyLen = readyLen
 	}
 	if err := e.clock.Advance(overhead); err != nil {
 		return false, err
@@ -1053,30 +965,18 @@ func (e *Emulator) schedule() (bool, error) {
 	// paths abort the run, and beginRun re-clears defensively).
 	// Assignment TaskIndex values are window-relative, like the view
 	// the policy saw.
-	var window []*Task
-	var viewWin []sched.Task
-	if e.view != nil {
-		viewWin = e.view.Ready()
-	} else {
-		window = e.ready
-	}
-	winLen := len(window) + len(viewWin)
+	window := e.view.Ready()
 	taken := s.takenMask(len(e.handlers))
-	remove := s.removeMask(winLen)
+	remove := s.removeMask(len(window))
 	for _, a := range res.Assignments {
-		if a.TaskIndex < 0 || a.TaskIndex >= winLen || a.PEIndex < 0 || a.PEIndex >= len(e.handlers) {
+		if a.TaskIndex < 0 || a.TaskIndex >= len(window) || a.PEIndex < 0 || a.PEIndex >= len(e.handlers) {
 			return false, fmt.Errorf("core: policy %s produced out-of-range assignment %+v", e.opts.Policy.Name(), a)
 		}
 		if remove[a.TaskIndex] {
 			return false, fmt.Errorf("core: policy %s assigned task %d twice", e.opts.Policy.Name(), a.TaskIndex)
 		}
 		h := e.handlers[a.PEIndex]
-		var t *Task
-		if viewWin != nil {
-			t = viewWin[a.TaskIndex].(*Task)
-		} else {
-			t = window[a.TaskIndex]
-		}
+		t := window[a.TaskIndex].(*Task)
 		if t.node.choiceByType[h.typeIdx] < 0 {
 			return false, fmt.Errorf("core: policy %s sent %s to unsupported PE %s",
 				e.opts.Policy.Name(), t.Label(), h.PE.Label())
@@ -1101,17 +1001,11 @@ func (e *Emulator) schedule() (bool, error) {
 			}
 			taken[a.PEIndex] = true
 		}
-		if e.view != nil {
-			// One task handed to the handler, dispatched or reserved.
-			e.view.AddLoad(a.PEIndex, 1)
-		}
+		// One task handed to the handler, dispatched or reserved.
+		e.view.AddLoad(a.PEIndex, 1)
 		remove[a.TaskIndex] = true
 	}
-	if e.view != nil {
-		e.view.CompactReady(remove, len(res.Assignments))
-	} else {
-		e.consumeReady(remove)
-	}
+	e.view.CompactReady(remove, len(res.Assignments))
 	// Restore the masks' all-false invariant at O(batch).
 	for _, a := range res.Assignments {
 		remove[a.TaskIndex] = false
@@ -1159,10 +1053,8 @@ func (e *Emulator) dispatch(t *Task, h *ResourceHandler, now vtime.Time) error {
 	h.current = t
 	h.status = StatusRun
 	h.busyUntil = t.end
-	if e.view != nil {
-		e.view.MarkBusy(int(h.idx))
-		e.view.SetAvail(int(h.idx), t.end)
-	}
+	e.view.MarkBusy(int(h.idx))
+	e.view.SetAvail(int(h.idx), t.end)
 	e.pushEvent(t.end, h.idx)
 	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/appmodel"
@@ -14,8 +15,8 @@ import (
 // checks the lowered Program field by field against the spec and the
 // configuration's class table: dense sorted-name IDs, head set, pred
 // counts, successor wiring, choiceByType first-match order, and the
-// indexed-scheduler metadata (class mask, per-class scaled costs, MET
-// mask, choice count). The metadata is what the PR 4/5 indexed fast
+// indexed-scheduler metadata (compatible class list, per-class scaled
+// costs, MET class list, choice count). The metadata is what the PR 4/5 indexed fast
 // path schedules from, so any drift here is a silent parity break.
 func FuzzProgramLowering(f *testing.F) {
 	f.Add(int64(0), 2, 2, 0, 0)
@@ -100,29 +101,30 @@ func FuzzProgramLowering(f *testing.F) {
 					bestType = int32(c.TypeID)
 				}
 			}
+			// The class lists must be exactly the supported (resp. MET)
+			// classes in ascending order: no class missing, none extra,
+			// none repeated.
+			var wantClasses, wantMET []int32
 			for ci, sig := range classes {
 				first := pn.choiceByType[sig.TypeIdx]
 				if first >= 0 {
-					if pn.meta.ClassMask&(1<<uint(ci)) == 0 {
-						t.Fatalf("%s: supported class %d missing from mask %b", pn.name, ci, pn.meta.ClassMask)
-					}
+					wantClasses = append(wantClasses, int32(ci))
 					want := int64(float64(pn.choices[first].CostNS) * sig.Speed)
 					if pn.meta.Costs[ci] != want {
 						t.Fatalf("%s: class %d cost %d, want %d", pn.name, ci, pn.meta.Costs[ci], want)
 					}
-				} else {
-					if pn.meta.ClassMask&(1<<uint(ci)) != 0 {
-						t.Fatalf("%s: unsupported class %d set in mask", pn.name, ci)
-					}
-					if pn.meta.Costs[ci] != 0 {
-						t.Fatalf("%s: unsupported class %d has cost %d", pn.name, ci, pn.meta.Costs[ci])
-					}
+				} else if pn.meta.Costs[ci] != 0 {
+					t.Fatalf("%s: unsupported class %d has cost %d", pn.name, ci, pn.meta.Costs[ci])
 				}
-				metBit := pn.meta.METMask&(1<<uint(ci)) != 0
-				if metBit != (bestType >= 0 && int32(sig.TypeIdx) == bestType) {
-					t.Fatalf("%s: class %d MET bit %v, best type %d (sig %d)",
-						pn.name, ci, metBit, bestType, sig.TypeIdx)
+				if bestType >= 0 && int32(sig.TypeIdx) == bestType {
+					wantMET = append(wantMET, int32(ci))
 				}
+			}
+			if !slices.Equal(pn.meta.Classes, wantClasses) {
+				t.Fatalf("%s: classes %v, want the supported classes %v", pn.name, pn.meta.Classes, wantClasses)
+			}
+			if !slices.Equal(pn.meta.METClasses, wantMET) {
+				t.Fatalf("%s: MET classes %v, want %v (best type %d)", pn.name, pn.meta.METClasses, wantMET, bestType)
 			}
 		}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,9 +14,10 @@ import (
 
 // speedClassedConfig hand-builds a configuration of n same-key "cpu"
 // PEs with n distinct speed factors — n cost classes under a single
-// interned type, the big.LITTLE shape pushed to (and past) the indexed
-// representation boundary. Hand-built Configs exercise the
-// no-finalize fallback paths of the platform package on top.
+// interned type, the big.LITTLE shape at any width. With one PE per
+// class, 65 and 130 classes also span two and three PE bitmap words.
+// Hand-built Configs exercise the no-finalize fallback paths of the
+// platform package on top.
 func speedClassedConfig(n int) *platform.Config {
 	cfg := &platform.Config{
 		Name:     fmt.Sprintf("%dclass-test", n),
@@ -51,22 +53,17 @@ func classBoundaryWorkload() []Arrival {
 	return out
 }
 
-// TestSchedulerPathClassBoundary pins the fallback trigger end to end
-// at its exact boundary: 64 interned cost classes run indexed, the
-// 65th drops the emulator to the slice-rebuild path — and since PR 5
-// that drop is visible (Emulator.SchedulerPath, Report.SchedulerPath)
-// instead of silent. Both sides of the boundary must produce reports
-// byte-identical to their SliceOnly forcing.
+// TestSchedulerPathClassBoundary pins end to end that the indexed
+// path has no class ceiling: 64, 65 and 130 interned cost classes all
+// run indexed (Emulator.SchedulerPath, Report.SchedulerPath), and every
+// run's report is byte-identical to its SliceOnly forcing — past 64
+// classes, the indexed path against the slice oracle.
 func TestSchedulerPathClassBoundary(t *testing.T) {
 	trace := classBoundaryWorkload()
-	for _, n := range []int{64, 65} {
+	for _, n := range []int{64, 65, 130} {
 		cfg := speedClassedConfig(n)
 		if got := cfg.NumClasses(); got != n {
 			t.Fatalf("hand-built config interned %d classes, want %d", got, n)
-		}
-		wantPath := SchedulerPathIndexed
-		if n > 64 {
-			wantPath = SchedulerPathSliceRebuild
 		}
 		for _, policyName := range []string{"frfs", "eft", "eft-power"} {
 			indexed, err := sched.New(policyName, 5)
@@ -80,15 +77,15 @@ func TestSchedulerPathClassBoundary(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if e.SchedulerPath() != wantPath {
-				t.Fatalf("%d classes/%s: SchedulerPath = %q, want %q", n, policyName, e.SchedulerPath(), wantPath)
+			if e.SchedulerPath() != SchedulerPathIndexed {
+				t.Fatalf("%d classes/%s: SchedulerPath = %q, want %q", n, policyName, e.SchedulerPath(), SchedulerPathIndexed)
 			}
 			got, err := e.Run(trace)
 			if err != nil {
 				t.Fatalf("%d classes/%s: %v", n, policyName, err)
 			}
-			if got.SchedulerPath != wantPath {
-				t.Fatalf("%d classes/%s: report stamped %q, want %q", n, policyName, got.SchedulerPath, wantPath)
+			if got.SchedulerPath != SchedulerPathIndexed {
+				t.Fatalf("%d classes/%s: report stamped %q, want %q", n, policyName, got.SchedulerPath, SchedulerPathIndexed)
 			}
 			slice, _ := sched.New(policyName, 5)
 			eS, err := New(Options{
@@ -98,7 +95,7 @@ func TestSchedulerPathClassBoundary(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n <= 64 && eS.SchedulerPath() != SchedulerPathSlice {
+			if eS.SchedulerPath() != SchedulerPathSlice {
 				t.Fatalf("SliceOnly emulator reports path %q", eS.SchedulerPath())
 			}
 			want, err := eS.Run(trace)
@@ -115,10 +112,11 @@ func TestSchedulerPathClassBoundary(t *testing.T) {
 // against platform.Config.Classes, while sched.NewView interns classes
 // from the handler table. For every node of every application on the
 // three platform families — classes==types (ZCU102), a split "cpu"
-// type (Odroid), and both at many-PE scale (synthetic-het) — the
-// compiled metadata must equal the view's own lowering bit for bit.
+// type (Odroid), and both at many-PE scale (synthetic-het) — plus a
+// 130-class single-type pool, the compiled metadata must equal the
+// view's own lowering exactly.
 func TestCompileMetaMatchesViewMetaFor(t *testing.T) {
-	cfgs := []*platform.Config{zcu(t, 3, 2)}
+	cfgs := []*platform.Config{zcu(t, 3, 2), speedClassedConfig(130)}
 	if od, err := platform.OdroidXU3(4, 3); err == nil {
 		cfgs = append(cfgs, od)
 	} else {
@@ -151,7 +149,7 @@ func TestCompileMetaMatchesViewMetaFor(t *testing.T) {
 			for i := range p.nodes {
 				pn := &p.nodes[i]
 				want := e.view.MetaFor(pn.choices)
-				if pn.meta.ClassMask != want.ClassMask || pn.meta.METMask != want.METMask ||
+				if !slices.Equal(pn.meta.Classes, want.Classes) || !slices.Equal(pn.meta.METClasses, want.METClasses) ||
 					pn.meta.NumChoices != want.NumChoices {
 					t.Fatalf("%s/%s/%s: compiled meta %+v, view lowering %+v",
 						cfg.Name, spec.AppName, pn.name, pn.meta, want)

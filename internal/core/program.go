@@ -61,11 +61,10 @@ type progNode struct {
 	// supporting entry of choices, or -1: the dispatch-time
 	// replacement for PlatformFor's key-string scan.
 	choiceByType []int32
-	// meta is the indexed-scheduler metadata (compatible-class bitmask,
-	// MET's best classes, per-class scaled costs, choice count) lowered
-	// over the configuration's cost classes (platform.Config.Classes).
-	// Valid only when the configuration interns at most 64 classes; the
-	// emulator doesn't build an indexed view otherwise.
+	// meta is the indexed-scheduler metadata (compatible classes, MET's
+	// best classes, per-class scaled costs, choice count) lowered over
+	// the configuration's cost classes (platform.Config.Classes), for
+	// any number of classes. Its slices live in the Program's arenas.
 	meta sched.ReadyMeta
 	// dataBytes is the node's per-direction DMA volume
 	// (AppSpec.DataBytes), precomputed.
@@ -131,10 +130,9 @@ func Compile(spec *appmodel.AppSpec, cfg *platform.Config, reg *kernels.Registry
 	funcArena := make([]kernels.Func, 0, totalPlat)
 	typeArena := make([]int32, 0, len(names)*cfg.NumTypes())
 	classes := cfg.Classes()
-	var costArena []int64
-	if len(classes) <= 64 {
-		costArena = make([]int64, 0, len(names)*len(classes))
-	}
+	costArena := make([]int64, 0, len(names)*len(classes))
+	// Each node lists at most every class twice (compatible and MET).
+	classArena := make([]int32, 0, 2*len(names)*len(classes))
 
 	for i, name := range names {
 		node := spec.DAG[name]
@@ -196,45 +194,48 @@ func Compile(spec *appmodel.AppSpec, cfg *platform.Config, reg *kernels.Registry
 		}
 
 		// Indexed-scheduler metadata, lowered over the configuration's
-		// cost classes: the compatible-class bitmask, the per-class
-		// scaled cost of the first matching choice (choiceByType is
-		// exactly that first-match scan, and class speed is uniform by
+		// cost classes: the compatible classes, the per-class scaled
+		// cost of the first matching choice (choiceByType is exactly
+		// that first-match scan, and class speed is uniform by
 		// construction, so this is costOn's arithmetic verbatim), and
 		// MET's compiled best type expanded to its classes (the first
 		// strict cost minimum over the choice list, mirroring
 		// MET.Schedule's scan — a minimum on an absent platform leaves
-		// the mask empty and the task waits, exactly as on the slice
-		// path). sched.NewView interns the identical class partition
-		// from the handler table, so the mask numbering cannot drift.
-		if len(classes) <= 64 {
-			cstart := len(costArena)
-			for c, sig := range classes {
-				ci := pn.choiceByType[sig.TypeIdx]
-				cost := int64(0)
-				if ci >= 0 {
-					pn.meta.ClassMask |= 1 << uint(c)
-					cost = int64(float64(pn.choices[ci].CostNS) * sig.Speed)
-				}
-				costArena = append(costArena, cost)
+		// the list empty and the task waits, exactly as on the slice
+		// path). Both class lists are ascending. sched.NewView interns
+		// the identical class partition from the handler table, so the
+		// class numbering cannot drift.
+		kstart := len(costArena)
+		lstart := len(classArena)
+		for c, sig := range classes {
+			ci := pn.choiceByType[sig.TypeIdx]
+			cost := int64(0)
+			if ci >= 0 {
+				classArena = append(classArena, int32(c))
+				cost = int64(float64(pn.choices[ci].CostNS) * sig.Speed)
 			}
-			pn.meta.Costs = costArena[cstart:len(costArena):len(costArena)]
-			bestType := int32(-1)
-			var bestCost int64 = -1
-			for _, c := range pn.choices {
-				if bestCost < 0 || c.CostNS < bestCost {
-					bestCost = c.CostNS
-					bestType = int32(c.TypeID)
-				}
-			}
-			if bestType >= 0 {
-				for c, sig := range classes {
-					if int32(sig.TypeIdx) == bestType {
-						pn.meta.METMask |= 1 << uint(c)
-					}
-				}
-			}
-			pn.meta.NumChoices = int32(len(pn.choices))
+			costArena = append(costArena, cost)
 		}
+		pn.meta.Costs = costArena[kstart:len(costArena):len(costArena)]
+		pn.meta.Classes = classArena[lstart:len(classArena):len(classArena)]
+		bestType := int32(-1)
+		var bestCost int64 = -1
+		for _, c := range pn.choices {
+			if bestCost < 0 || c.CostNS < bestCost {
+				bestCost = c.CostNS
+				bestType = int32(c.TypeID)
+			}
+		}
+		mstart := len(classArena)
+		if bestType >= 0 {
+			for c, sig := range classes {
+				if int32(sig.TypeIdx) == bestType {
+					classArena = append(classArena, int32(c))
+				}
+			}
+		}
+		pn.meta.METClasses = classArena[mstart:len(classArena):len(classArena)]
+		pn.meta.NumChoices = int32(len(pn.choices))
 
 		if pn.preds == 0 {
 			p.heads = append(p.heads, int32(i))

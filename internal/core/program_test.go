@@ -88,7 +88,7 @@ func referenceCompile(t *testing.T, spec *appmodel.AppSpec, cfg *platform.Config
 		pn.meta.Costs = make([]int64, len(classes))
 		for c, sig := range classes {
 			if ci := pn.choiceByType[sig.TypeIdx]; ci >= 0 {
-				pn.meta.ClassMask |= 1 << uint(c)
+				pn.meta.Classes = append(pn.meta.Classes, int32(c))
 				pn.meta.Costs[c] = int64(float64(pn.choices[ci].CostNS) * sig.Speed)
 			}
 		}
@@ -102,7 +102,7 @@ func referenceCompile(t *testing.T, spec *appmodel.AppSpec, cfg *platform.Config
 		}
 		for c, sig := range classes {
 			if bestType >= 0 && int32(sig.TypeIdx) == bestType {
-				pn.meta.METMask |= 1 << uint(c)
+				pn.meta.METClasses = append(pn.meta.METClasses, int32(c))
 			}
 		}
 	}

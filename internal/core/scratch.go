@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/vtime"
 )
@@ -17,9 +16,9 @@ type peEvent struct {
 }
 
 // Scratch holds the emulator's reusable working buffers: the sorted
-// arrival queue, the ready list, the per-invocation scheduler views
-// and assignment masks, the completion-event heap, the task and
-// instance slabs, and a capacity hint for the report's task records.
+// arrival queue, the per-invocation assignment masks, the
+// completion-event heap, the task and instance slabs, and a capacity
+// hint for the report's task records.
 // The report is the only per-Run memory that escapes (the sched.Policy
 // contract forbids retaining the view slices), so a Scratch can be
 // handed from one emulation to the next — the sweep engine keeps one
@@ -37,12 +36,6 @@ type peEvent struct {
 // run against it at a time.
 type Scratch struct {
 	arrivals []Arrival
-	ready    []*Task
-	// readyViews backs the per-invocation ready rebuild of the
-	// no-indexed-view fallback (configurations with > 64 interned
-	// types); emulators with a view maintain the ready slice
-	// incrementally instead.
-	readyViews []sched.Task
 
 	// progs holds the per-arrival compiled template during Run setup.
 	progs []*Program
@@ -172,8 +165,6 @@ func (s *Scratch) noteTaskCount(n int) {
 // last emulation's state.
 func (s *Scratch) release() {
 	clear(s.arrivals[:cap(s.arrivals)])
-	clear(s.ready[:cap(s.ready)])
-	clear(s.readyViews[:cap(s.readyViews)])
 	clear(s.progs[:cap(s.progs)])
 	clear(s.tasks[len(s.tasks):cap(s.tasks)])
 	clear(s.instances[len(s.instances):cap(s.instances)])

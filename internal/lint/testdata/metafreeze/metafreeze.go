@@ -11,7 +11,7 @@ import "repro/internal/sched"
 func pushHoisted(v *sched.View, tasks []sched.Task) {
 	var m sched.ReadyMeta
 	for _, t := range tasks {
-		m = sched.ReadyMeta{ClassMask: 1}
+		m = sched.ReadyMeta{Classes: []int32{0}}
 		v.PushReady(t, &m) // want `declared outside it`
 	}
 }
@@ -20,7 +20,7 @@ func pushHoisted(v *sched.View, tasks []sched.Task) {
 // pushed pointers stay distinct and are never rewritten.
 func pushLoopLocal(v *sched.View, tasks []sched.Task) {
 	for _, t := range tasks {
-		m := sched.ReadyMeta{ClassMask: 1}
+		m := sched.ReadyMeta{Classes: []int32{0}}
 		v.PushReady(t, &m)
 	}
 }
@@ -28,7 +28,7 @@ func pushLoopLocal(v *sched.View, tasks []sched.Task) {
 // True positive: the window retains &m, so this write edits in-window
 // metadata.
 func writeAfterPush(v *sched.View, t sched.Task) {
-	m := sched.ReadyMeta{ClassMask: 1}
+	m := sched.ReadyMeta{Classes: []int32{0}}
 	v.PushReady(t, &m)
 	m.NumChoices = 3 // want `after its pointer escaped`
 }
@@ -36,7 +36,7 @@ func writeAfterPush(v *sched.View, t sched.Task) {
 // True positive: writing through an escaped pointer variable.
 func writeThroughPointer(v *sched.View, t sched.Task, m *sched.ReadyMeta) {
 	v.PushReady(t, m)
-	m.ClassMask = 2 // want `after its pointer escaped`
+	m.Classes = []int32{1} // want `after its pointer escaped`
 }
 
 // Near miss: repointing the pointer variable afterwards touches
@@ -51,7 +51,7 @@ func repointAfterPush(v *sched.View, t sched.Task, m *sched.ReadyMeta) {
 // build-then-freeze sequence.
 func writeBeforePush(v *sched.View, t sched.Task) {
 	var m sched.ReadyMeta
-	m.ClassMask = 4
+	m.Classes = []int32{2}
 	m.NumChoices = 1
 	v.PushReady(t, &m)
 }

@@ -66,7 +66,7 @@ type ClassSig struct {
 // first-appearance order over PEs, with the per-PE class index. Like
 // computeTypeKeys this is THE definition of the class interning order:
 // sched.NewView re-derives the identical partition from its PE
-// interface (same PE order, same signature), so compiled class masks
+// interface (same PE order, same signature), so compiled class lists
 // and the view's class tables can never disagree.
 func (c *Config) computeClasses() ([]ClassSig, []int32) {
 	tidx := c.typeIdx

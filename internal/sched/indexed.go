@@ -27,11 +27,7 @@ package sched
 //	EFT-RQ:   P + eftPairWeight*P per task while capacity remains.
 //	EFT-PWR:  P + per task: eftPairWeight*P + its idle candidate count.
 
-import (
-	"math/bits"
-
-	"repro/internal/vtime"
-)
+import "repro/internal/vtime"
 
 // ScheduleIndexed implements IndexedPolicy: the FRFS probe order is
 // "lowest-index idle supporting PE", so each ready task resolves to
@@ -43,7 +39,7 @@ func (FRFS) ScheduleIndexed(now vtime.Time, v *View) Result {
 	ready := v.Ready()
 	meta := v.metas()
 	for ti := 0; ti < len(ready) && v.scr.idleTot > 0; ti++ {
-		pi := v.minIdleOfMask(meta[ti].ClassMask)
+		pi := v.minIdleOf(meta[ti].Classes)
 		if pi < 0 {
 			// Every idle PE is probed and none supports the task.
 			res.Ops += v.scr.idleTot
@@ -58,7 +54,7 @@ func (FRFS) ScheduleIndexed(now vtime.Time, v *View) Result {
 
 // ScheduleIndexed implements IndexedPolicy: the minimum-cost classes
 // are compiled into the ready metadata (every class of MET's chosen
-// type), so each task is one min-idle mask lookup.
+// type), so each task is one min-idle lookup over that class list.
 func (MET) ScheduleIndexed(now vtime.Time, v *View) Result {
 	res := Result{Assignments: newAssignments()}
 	res.Ops += v.numPEs()
@@ -67,9 +63,9 @@ func (MET) ScheduleIndexed(now vtime.Time, v *View) Result {
 	for ti := range meta {
 		m := meta[ti]
 		res.Ops += int(m.NumChoices) // cost comparison per platform entry
-		// An empty METMask is a minimum-cost platform with no PEs in
+		// An empty METClasses is a minimum-cost platform with no PEs in
 		// this configuration: the task waits, as on the slice path.
-		if pi := v.minIdleOfMask(m.METMask); pi >= 0 {
+		if pi := v.minIdleOf(m.METClasses); pi >= 0 {
 			res.Assignments = append(res.Assignments, Assignment{TaskIndex: ti, PEIndex: pi})
 			v.takeIdle(pi)
 		}
@@ -106,8 +102,8 @@ func (EFT) ScheduleIndexed(now vtime.Time, v *View) Result {
 		bestPE := -1
 		var bestFinish vtime.Time
 		bestIdle := false
-		for m := meta[ti].ClassMask & v.allClasses; m != 0; m &= m - 1 {
-			cc := bits.TrailingZeros64(m)
+		for _, c := range meta[ti].Classes {
+			cc := int(c)
 			cost := vtime.Duration(costs[cc])
 			if pi := v.minIdleOfClass(cc); pi >= 0 {
 				f := now.Add(cost)
@@ -152,12 +148,12 @@ func (r *Random) ScheduleIndexed(now vtime.Time, v *View) Result {
 	meta := v.metas()
 	for ti := range meta {
 		res.Ops += P
-		mask := meta[ti].ClassMask
-		n := v.idleCountOfMask(mask)
+		classes := meta[ti].Classes
+		n := v.idleCountOf(classes)
 		if n == 0 {
 			continue
 		}
-		pi := v.kthIdleOfMask(mask, r.rng.Intn(n))
+		pi := v.kthIdleOf(classes, r.rng.Intn(n))
 		res.Assignments = append(res.Assignments, Assignment{TaskIndex: ti, PEIndex: pi})
 		v.takeIdle(pi)
 	}
@@ -182,7 +178,7 @@ func (q FRFSQ) ScheduleIndexed(now vtime.Time, v *View) Result {
 	meta := v.metas()
 	for ti := 0; ti < len(ready) && free > 0; ti++ {
 		res.Ops += P
-		best := v.minLoadOfMask(meta[ti].ClassMask, depth)
+		best := v.minLoadOf(meta[ti].Classes, depth)
 		if best < 0 {
 			continue
 		}
@@ -219,8 +215,8 @@ func (q EFTQ) ScheduleIndexed(now vtime.Time, v *View) Result {
 		best := -1
 		var bestFinish vtime.Time
 		var bestCost vtime.Duration
-		for m := meta[ti].ClassMask & v.allClasses; m != 0; m &= m - 1 {
-			cc := bits.TrailingZeros64(m)
+		for _, c := range meta[ti].Classes {
+			cc := int(c)
 			cost := vtime.Duration(costs[cc])
 			if a, pi, ok := v.peekAvailMin(cc, depth); ok {
 				f := a.Add(cost)
@@ -255,31 +251,21 @@ func (p PowerEFT) ScheduleIndexed(now vtime.Time, v *View) Result {
 	P := v.numPEs()
 	res.Ops += P
 	v.beginIdleScratch()
-	// An active power cap masks over-budget classes out of candidacy
+	// An active power cap takes over-budget classes out of candidacy
 	// (power is uniform within a class, so the cap resolves per class);
 	// the per-pair charge below still covers every PE, matching the
 	// slice scan that reads a PE's power before rejecting it.
-	capMask := v.allClasses
-	if p.cap > 0 {
-		capMask = 0
-		for c := 0; c < v.numClasses; c++ {
-			if v.power[c] <= p.cap {
-				capMask |= 1 << uint(c)
-			}
-		}
-	}
 	ready := v.Ready()
 	meta := v.metas()
 	for ti := range ready {
 		res.Ops += eftPairWeight * P
-		mask := meta[ti].ClassMask & v.allClasses & capMask
+		classes := meta[ti].Classes
 		costs := meta[ti].Costs
 		var bestFinish vtime.Time = -1
 		nCands := 0
-		for m := mask; m != 0; m &= m - 1 {
-			cc := bits.TrailingZeros64(m)
+		for _, cc := range classes {
 			c := int(v.scr.idleCnt[cc])
-			if c == 0 {
+			if c == 0 || (p.cap > 0 && v.power[cc] > p.cap) {
 				continue
 			}
 			nCands += c
@@ -295,23 +281,26 @@ func (p PowerEFT) ScheduleIndexed(now vtime.Time, v *View) Result {
 		limit := vtime.Time(float64(bestFinish-vtime.Time(0)) * slack)
 		pick := -1
 		bestE := 0.0
-		for m := mask; m != 0; m &= m - 1 {
-			cc := bits.TrailingZeros64(m)
-			if v.scr.idleCnt[cc] == 0 {
+		first := -1 // lowest-index idle candidate, the no-pick fallback
+		for _, cc := range classes {
+			if v.scr.idleCnt[cc] == 0 || (p.cap > 0 && v.power[cc] > p.cap) {
 				continue
+			}
+			pi := v.minIdleOfClass(int(cc))
+			if first == -1 || pi < first {
+				first = pi
 			}
 			cost := costs[cc]
 			if now.Add(vtime.Duration(cost)) > limit {
 				continue
 			}
 			e := float64(cost) * v.power[cc] * 1e-9
-			pi := v.minIdleOfClass(cc)
 			if pick == -1 || e < bestE || (e == bestE && pi < pick) {
 				pick, bestE = pi, e
 			}
 		}
 		if pick == -1 {
-			pick = v.minIdleOfMask(mask)
+			pick = first
 		}
 		res.Assignments = append(res.Assignments, Assignment{TaskIndex: ti, PEIndex: pick})
 		v.takeIdle(pick)

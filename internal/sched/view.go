@@ -39,26 +39,31 @@ import (
 // construction. Cost is uniform within a class by definition, which is
 // what lets the EFT-family fast paths decompose per class on any
 // configuration, the Odroid's split "cpu" type included.
+//
+// The class lists are ascending: the fast paths visit classes in list
+// order, and their charged ops and tie-breaks depend on that order.
+// The lists put no bound on the number of classes a configuration
+// interns.
 type ReadyMeta struct {
-	// ClassMask has bit c set when the task carries a platform choice
-	// matching class c's type, i.e. the configuration can run it on a
-	// PE of class c.
-	ClassMask uint64
-	// METMask has bit c set for every class whose type is the task's
+	// Classes lists, ascending, every class c whose type matches one of
+	// the task's platform choices, i.e. the configuration can run it on
+	// a PE of class c.
+	Classes []int32
+	// METClasses lists, ascending, every class whose type is the task's
 	// minimum-cost platform entry, resolved with MET's exact scan
-	// (first strict minimum over the choice list in order); zero when
+	// (first strict minimum over the choice list in order); empty when
 	// that entry's platform is absent from the configuration, in which
 	// case the task waits, as on the slice path.
-	METMask uint64
+	METClasses []int32
 	// NumChoices is the length of the task's choice list — the
 	// per-task operation count MET charges for its cost scan.
 	NumChoices int32
 	// Costs[c] is the task's execution cost on class c — the annotated
 	// cost of its first choice matching c's type, scaled by the class
-	// speed factor, exactly costOn's arithmetic. Entries outside
-	// ClassMask are zero and must not be read. The slice is shared
-	// compiled data: per DAG node, immutable, aliased by every ready
-	// push of that node.
+	// speed factor, exactly costOn's arithmetic. Entries of classes
+	// not in Classes are zero and must not be read. All three slices
+	// are shared compiled data: per DAG node, immutable, aliased by
+	// every ready push of that node.
 	Costs []int64
 }
 
@@ -209,11 +214,6 @@ type View struct {
 	peClass    []int32
 	peClass0   []int32
 	numClasses int
-	// allClasses masks off ClassMask bits beyond the interned classes:
-	// a task may carry a mask for classes no PE of this view belongs to
-	// (fake scenarios, foreign masks); such bits mean "no candidate
-	// PEs" and are dropped before any per-class table is indexed.
-	allClasses uint64
 	words      int // uint64 words per PE bitmap
 
 	// classBits[c*words:(c+1)*words] is the static membership bitmap of
@@ -265,12 +265,11 @@ type classSig struct {
 // NewView builds the indexed state over a fixed PE table, interning
 // the table's cost classes — distinct (TypeID, speed, power)
 // signatures in first-appearance order, the identical partition
-// platform.Config.Classes computes for the same PE sequence. It
-// returns nil when the configuration is outside the index's
-// representation (more than 64 interned classes, or a PE without a
-// valid TypeID); the caller then stays on the slice path entirely. The
-// pes slice is retained and must stay valid and immutable for the
-// View's lifetime.
+// platform.Config.Classes computes for the same PE sequence. Any
+// number of classes is representable; NewView returns nil only for an
+// empty table or a PE without a valid TypeID, neither of which the
+// emulation core accepts. The pes slice is retained and must stay
+// valid and immutable for the View's lifetime.
 func NewView(pes []PE) *View {
 	if len(pes) == 0 {
 		return nil
@@ -290,9 +289,6 @@ func NewView(pes []PE) *View {
 			}
 		}
 		if ci < 0 {
-			if len(classes) == 64 {
-				return nil
-			}
 			ci = len(classes)
 			classes = append(classes, sig)
 		}
@@ -316,7 +312,6 @@ func NewView(pes []PE) *View {
 		faultBits:  make([]uint64, words),
 	}
 	v.peClass0 = append([]int32(nil), peClass...)
-	v.allClasses = uint64(1)<<uint(numClasses) - 1
 	for c, sig := range classes {
 		v.classType[c] = sig.typeID
 		v.speed[c] = sig.speed
@@ -340,7 +335,7 @@ func (v *View) MetaFor(choices []PlatformChoice) ReadyMeta {
 		for _, ch := range choices {
 			// First entry wins, matching costOn's scan order.
 			if int32(ch.TypeID) == v.classType[c] {
-				m.ClassMask |= 1 << uint(c)
+				m.Classes = append(m.Classes, int32(c))
 				m.Costs[c] = int64(float64(ch.CostNS) * v.speed[c])
 				break
 			}
@@ -357,7 +352,7 @@ func (v *View) MetaFor(choices []PlatformChoice) ReadyMeta {
 	if bestType >= 0 {
 		for c := 0; c < v.numClasses; c++ {
 			if v.classType[c] == bestType {
-				m.METMask |= 1 << uint(c)
+				m.METClasses = append(m.METClasses, int32(c))
 			}
 		}
 	}
@@ -474,9 +469,7 @@ func (v *View) SetClass(pi, ci int) {
 func (v *View) ClassOf(pi int) int { return int(v.peClass[pi]) }
 
 // InternClass finds or adds the cost class of signature (typeID, speed,
-// power), returning its index, or -1 when adding it would exceed the
-// 64-class representation ceiling — the caller must then abandon the
-// indexed path (slice-rebuild). New classes start with no members; PEs
+// power), returning its index. New classes start with no members; PEs
 // migrate in through SetClass. Interned classes are permanent: they
 // survive Reset, so an emulator that pre-interns its DVFS steps sees
 // one stable class numbering across runs.
@@ -486,12 +479,8 @@ func (v *View) InternClass(typeID int32, speed, power float64) int {
 			return c
 		}
 	}
-	if v.numClasses == 64 {
-		return -1
-	}
 	c := v.numClasses
 	v.numClasses++
-	v.allClasses = uint64(1)<<uint(v.numClasses) - 1
 	v.classType = append(v.classType, typeID)
 	v.speed = append(v.speed, speed)
 	v.power = append(v.power, power)
@@ -645,23 +634,22 @@ func (v *View) minIdleOfClass(t int) int {
 	return -1
 }
 
-// maskWord ORs the membership bitmaps of every class in mask for one
-// bitmap word.
-func (v *View) maskWord(mask uint64, w int) uint64 {
+// classesWord ORs the membership bitmaps of every listed class for
+// one bitmap word.
+func (v *View) classesWord(classes []int32, w int) uint64 {
 	var u uint64
-	for mm := mask; mm != 0; mm &= mm - 1 {
-		u |= v.classBits[bits.TrailingZeros64(mm)*v.words+w]
+	for _, c := range classes {
+		u |= v.classBits[int(c)*v.words+w]
 	}
 	return u
 }
 
-// minIdleOfMask returns the lowest-index idle PE over every class in
-// mask — the first idle supporting PE the FRFS probe order finds — or
-// -1 when no compatible class has an idle PE.
-func (v *View) minIdleOfMask(mask uint64) int {
-	mask &= v.allClasses
+// minIdleOf returns the lowest-index idle PE over every listed class —
+// the first idle supporting PE the FRFS probe order finds — or -1 when
+// no listed class has an idle PE.
+func (v *View) minIdleOf(classes []int32) int {
 	for w, m := range v.scr.idle {
-		if x := m & v.maskWord(mask, w); x != 0 {
+		if x := m & v.classesWord(classes, w); x != 0 {
 			return w*64 + bits.TrailingZeros64(x)
 		}
 	}
@@ -682,22 +670,21 @@ func (v *View) idleRankBelow(pi int) int {
 	return n
 }
 
-// idleCountOfMask sums the idle counts of every class in mask.
-func (v *View) idleCountOfMask(mask uint64) int {
+// idleCountOf sums the idle counts of every listed class.
+func (v *View) idleCountOf(classes []int32) int {
 	n := 0
-	for mm := mask & v.allClasses; mm != 0; mm &= mm - 1 {
-		n += int(v.scr.idleCnt[bits.TrailingZeros64(mm)])
+	for _, c := range classes {
+		n += int(v.scr.idleCnt[c])
 	}
 	return n
 }
 
-// kthIdleOfMask returns the (k+1)-th lowest-index idle PE over the
-// mask's classes — the candidates[k] of RANDOM's index-ordered
-// candidate list. k must be < idleCountOfMask(mask).
-func (v *View) kthIdleOfMask(mask uint64, k int) int {
-	mask &= v.allClasses
+// kthIdleOf returns the (k+1)-th lowest-index idle PE over the listed
+// classes — the candidates[k] of RANDOM's index-ordered candidate
+// list. k must be < idleCountOf(classes).
+func (v *View) kthIdleOf(classes []int32, k int) int {
 	for w, m := range v.scr.idle {
-		x := m & v.maskWord(mask, w)
+		x := m & v.classesWord(classes, w)
 		c := bits.OnesCount64(x)
 		if k >= c {
 			k -= c
@@ -862,16 +849,14 @@ func (v *View) beginLoadBuckets(depth int32) int {
 	return free
 }
 
-// minLoadOfMask returns the compatible PE with the smallest load below
-// depth, ties broken by lowest index — FRFSQ's shortest-queue pick —
-// or -1.
-func (v *View) minLoadOfMask(mask uint64, depth int32) int {
-	mask &= v.allClasses
+// minLoadOf returns the PE of the listed classes with the smallest
+// load below depth, ties broken by lowest index — FRFSQ's
+// shortest-queue pick — or -1.
+func (v *View) minLoadOf(classes []int32, depth int32) int {
 	for l := int32(0); l < depth; l++ {
 		best := -1
-		for mm := mask; mm != 0; mm &= mm - 1 {
-			t := bits.TrailingZeros64(mm)
-			row := v.scr.buckets[(t*int(depth)+int(l))*v.words:][:v.words]
+		for _, t := range classes {
+			row := v.scr.buckets[(int(t)*int(depth)+int(l))*v.words:][:v.words]
 			for w, x := range row {
 				if x != 0 {
 					if pi := w*64 + bits.TrailingZeros64(x); best == -1 || pi < best {

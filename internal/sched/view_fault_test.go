@@ -91,10 +91,10 @@ func TestViewSetClassOnFaultedPE(t *testing.T) {
 	}
 }
 
-// TestInternClassCeiling pins the 63/64 boundary of runtime interning:
-// a 63-class view accepts exactly one more signature and then refuses,
-// interned classes are deduplicated, and Reset keeps them while
-// restoring construction-time membership and clearing faults.
+// TestInternClassCeiling pins that runtime interning has no ceiling:
+// a 63-class view interns a 64th and then a 65th signature, interned
+// classes are deduplicated, and Reset keeps them while restoring
+// construction-time membership and clearing faults.
 func TestInternClassCeiling(t *testing.T) {
 	v := NewView(speedClassedPEs(63))
 	if v == nil || v.NumClasses() != 63 {
@@ -107,24 +107,26 @@ func TestInternClassCeiling(t *testing.T) {
 	if again := v.InternClass(int32(typeID("cpu")), 99, 99); again != c64 {
 		t.Fatalf("re-interning the same signature gave %d, want %d", again, c64)
 	}
-	if v.InternClass(int32(typeID("cpu")), 100, 100) != -1 {
-		t.Fatal("65th class accepted past the representation ceiling")
+	c65 := v.InternClass(int32(typeID("cpu")), 100, 100)
+	if c65 != 64 {
+		t.Fatalf("65th class interned as %d, want 64", c65)
 	}
 	// Migrate a PE into the interned class, fault another, then Reset:
 	// membership and health return to construction state, the interned
 	// class table survives.
 	v.SetClass(0, c64)
+	v.SetClass(2, c65)
 	v.FaultPE(1)
 	v.Reset()
-	if v.NumClasses() != 64 {
+	if v.NumClasses() != 65 {
 		t.Fatalf("Reset dropped interned classes: %d", v.NumClasses())
 	}
 	if v.ClassOf(0) != 0 || v.Faulted(1) || v.IdleCount() != 63 {
 		t.Fatalf("Reset did not restore construction state: class0=%d faulted1=%v idle=%d",
 			v.ClassOf(0), v.Faulted(1), v.IdleCount())
 	}
-	if v.idleCnt[c64] != 0 {
-		t.Fatalf("empty interned class has idle members after Reset: %d", v.idleCnt[c64])
+	if v.idleCnt[c64] != 0 || v.idleCnt[c65] != 0 {
+		t.Fatalf("empty interned classes have idle members after Reset: %d, %d", v.idleCnt[c64], v.idleCnt[c65])
 	}
 }
 

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/vtime"
@@ -10,9 +11,9 @@ import (
 
 // Generated ReadyMeta shapes: a scenario generator that steers the
 // compiled-metadata space the corpus differential can only sample —
-// class-mask corners (single bit, all bits, top bit of a 64-class
-// table), single-choice nodes, choices on absent platforms, and
-// multi-class single-type pools — plugged into the same 400-trial
+// class-list corners (one class, every class, the last class of a
+// table past 64 classes), single-choice nodes, choices on absent
+// platforms, and multi-class single-type pools — plugged into the same 400-trial
 // Schedule-vs-ScheduleIndexed parity harness as the random scenarios.
 
 // genPE is a fake PE whose type identity is fully generator-chosen:
@@ -29,7 +30,7 @@ func (p *genPE) TypeID() int     { return p.typ }
 // genMetaScenario draws one emulator-consistent state from the shape
 // space. nTypes controls the interned type count; classed=true gives
 // every PE its own speed, splitting each type into per-PE cost classes
-// (the big.LITTLE shape); the task mix hits the mask corners.
+// (the big.LITTLE shape); the task mix hits the class-list corners.
 func genMetaScenario(rng *rand.Rand, now vtime.Time, nTypes int, classed bool) ([]PE, []Task) {
 	nPE := nTypes + rng.Intn(2*nTypes)
 	pes := make([]PE, nPE)
@@ -66,15 +67,14 @@ func genMetaScenario(rng *rand.Rand, now vtime.Time, nTypes int, classed bool) (
 		tk := &fakeTask{label: fmt.Sprintf("g%d", i)}
 		switch rng.Intn(5) {
 		case 0:
-			// Single-choice node on the LAST type: at a 64-type pool
-			// this is the top mask bit, the sign-bit corner of the
-			// uint64 representation.
+			// Single-choice node on the LAST type: the last class of
+			// the table, past index 63 on the wide pools.
 			tk.choices = []PlatformChoice{choice(nTypes - 1)}
 		case 1:
-			// Single-choice node on a random type: one-hot mask.
+			// Single-choice node on a random type: a one-class list.
 			tk.choices = []PlatformChoice{choice(rng.Intn(nTypes))}
 		case 2:
-			// Full-width node supporting every type: all mask bits set.
+			// Full-width node supporting every type: every class listed.
 			for typ := 0; typ < nTypes; typ++ {
 				tk.choices = append(tk.choices, choice(typ))
 			}
@@ -125,20 +125,20 @@ func genViewFor(t *testing.T, pes []PE, tasks []Task) *View {
 }
 
 // TestIndexedMatchesSliceGeneratedMeta runs the 400-trial parity check
-// over the generated shape space: type counts from 1 through the
-// 64-class boundary, both the uniform (class==type) and the per-PE
+// over the generated shape space: type counts from 1 to past the
+// 64-class mark, both the uniform (class==type) and the per-PE
 // speed-classed interning. Every policy must byte-match its slice path
 // on every drawn state.
 func TestIndexedMatchesSliceGeneratedMeta(t *testing.T) {
 	now := vtime.Time(10_000)
-	// classed pools intern one class per PE; nPE < 2*3*nTypes keeps the
-	// worst case (nTypes=21, classed) within the 64-class budget.
+	// classed pools intern one class per PE (up to 3*nTypes classes).
 	shapes := []struct {
 		nTypes  int
 		classed bool
 	}{
 		{1, false}, {2, false}, {3, true}, {5, false}, {8, true},
 		{16, false}, {21, true}, {63, false}, {64, false},
+		{65, false}, {40, true}, {130, false},
 	}
 	for _, name := range Names() {
 		rng := rand.New(rand.NewSource(29))
@@ -179,10 +179,12 @@ func TestIndexedMatchesSliceGeneratedMeta(t *testing.T) {
 }
 
 // TestMetaForCorners pins MetaFor's lowering on the exact corner
-// shapes the generator steers toward, against hand-computed masks.
+// shapes the generator steers toward, against hand-computed class
+// lists, on a table of more than 64 classes.
 func TestMetaForCorners(t *testing.T) {
-	// 64 single-PE types: class c == type c, top bit representable.
-	pes := make([]PE, 64)
+	// n single-PE types: class c == type c.
+	const n = 130
+	pes := make([]PE, n)
 	for i := range pes {
 		pe := &genPE{typ: i}
 		pe.id = i
@@ -191,39 +193,41 @@ func TestMetaForCorners(t *testing.T) {
 		pes[i] = pe
 	}
 	v := NewView(pes)
-	if v == nil || v.NumClasses() != 64 {
-		t.Fatal("64 one-PE types must intern 64 classes")
+	if v == nil || v.NumClasses() != n {
+		t.Fatalf("%d one-PE types must intern %d classes", n, n)
 	}
 
-	top := v.MetaFor([]PlatformChoice{{Key: "t63", TypeID: 63, CostNS: 7}})
-	if top.ClassMask != 1<<63 {
-		t.Fatalf("top-type mask = %b, want bit 63", top.ClassMask)
+	top := v.MetaFor([]PlatformChoice{{Key: "top", TypeID: n - 1, CostNS: 7}})
+	if !slices.Equal(top.Classes, []int32{n - 1}) {
+		t.Fatalf("top-type classes = %v, want [%d]", top.Classes, n-1)
 	}
-	if top.METMask != 1<<63 || top.NumChoices != 1 {
+	if !slices.Equal(top.METClasses, []int32{n - 1}) || top.NumChoices != 1 {
 		t.Fatalf("top-type meta = %+v", top)
 	}
-	if top.Costs[63] != 7 {
-		t.Fatalf("top-type cost = %d, want 7", top.Costs[63])
+	if top.Costs[n-1] != 7 {
+		t.Fatalf("top-type cost = %d, want 7", top.Costs[n-1])
 	}
 
 	var full []PlatformChoice
-	for i := 0; i < 64; i++ {
-		full = append(full, PlatformChoice{Key: fmt.Sprintf("t%d", i), TypeID: i, CostNS: int64(64 - i)})
+	var every []int32
+	for i := 0; i < n; i++ {
+		full = append(full, PlatformChoice{Key: fmt.Sprintf("t%d", i), TypeID: i, CostNS: int64(n - i)})
+		every = append(every, int32(i))
 	}
 	all := v.MetaFor(full)
-	if all.ClassMask != ^uint64(0) {
-		t.Fatalf("full-width mask = %b, want all ones", all.ClassMask)
+	if !slices.Equal(all.Classes, every) {
+		t.Fatalf("full-width classes = %v, want all %d ascending", all.Classes, n)
 	}
 	// Cheapest choice is the last (cost 1): MET elects exactly it.
-	if all.METMask != 1<<63 {
-		t.Fatalf("full-width MET mask = %b, want bit 63", all.METMask)
+	if !slices.Equal(all.METClasses, []int32{n - 1}) {
+		t.Fatalf("full-width MET classes = %v, want [%d]", all.METClasses, n-1)
 	}
 
 	// A choice on an absent platform contributes nothing; a task with
-	// ONLY absent choices has an empty mask (waits forever), but its
+	// ONLY absent choices has no classes (waits forever), but its
 	// choice count is still visible to ops accounting.
 	ghost := v.MetaFor([]PlatformChoice{{Key: "ghost", TypeID: -1, CostNS: 1}})
-	if ghost.ClassMask != 0 || ghost.METMask != 0 || ghost.NumChoices != 1 {
+	if len(ghost.Classes) != 0 || len(ghost.METClasses) != 0 || ghost.NumChoices != 1 {
 		t.Fatalf("ghost-only meta = %+v", ghost)
 	}
 }

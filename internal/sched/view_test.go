@@ -242,8 +242,8 @@ type settableTypePE struct {
 func (p *settableTypePE) TypeID() int { return p.typeID }
 
 // speedClassedPEs builds n same-type "cpu" PEs with n distinct speeds —
-// n cost classes under one interned type, the big.LITTLE shape pushed
-// to the representation boundary.
+// n cost classes under one interned type, the big.LITTLE shape at any
+// width.
 func speedClassedPEs(n int) []PE {
 	pes := make([]PE, n)
 	for i := range pes {
@@ -254,22 +254,20 @@ func speedClassedPEs(n int) []PE {
 	return pes
 }
 
-// TestNewViewClassBoundary pins the fallback trigger at its exact
-// boundary: 64 interned cost classes are representable (even under a
-// single type key), the 65th is not and must yield no view, sending
-// the emulator down the slice-rebuild path. A negative TypeID and an
-// empty table reject as before; a TypeID beyond 63 is fine as long as
-// the class count fits — masks are per class, not per type.
+// TestNewViewClassBoundary pins that the view has no class ceiling:
+// 64, 65 and 130 interned cost classes (all under a single type key)
+// construct, with every class interned. A negative TypeID and an empty
+// table still reject; a high TypeID interns like any other — class
+// tables are per class, not per type.
 func TestNewViewClassBoundary(t *testing.T) {
-	v := NewView(speedClassedPEs(64))
-	if v == nil {
-		t.Fatal("NewView rejected 64 cost classes")
-	}
-	if v.NumClasses() != 64 {
-		t.Fatalf("interned %d classes, want 64", v.NumClasses())
-	}
-	if NewView(speedClassedPEs(65)) != nil {
-		t.Fatal("NewView accepted a 65th cost class")
+	for _, n := range []int{64, 65, 130} {
+		v := NewView(speedClassedPEs(n))
+		if v == nil {
+			t.Fatalf("NewView rejected %d cost classes", n)
+		}
+		if v.NumClasses() != n {
+			t.Fatalf("interned %d classes, want %d", v.NumClasses(), n)
+		}
 	}
 	neg := &settableTypePE{fakePE: *idleCPU(0), typeID: -1}
 	if NewView([]PE{neg}) != nil {
@@ -285,52 +283,54 @@ func TestNewViewClassBoundary(t *testing.T) {
 	}
 }
 
-// TestIndexedParityAtClassBoundary runs the policy parity check on a
-// 64-class single-type pool — every mask word boundary in play — so
-// the exactly-representable edge is covered by the same byte-level
-// contract as the everyday shapes.
+// TestIndexedParityAtClassBoundary runs the policy parity check on
+// single-type pools of 64 and 130 classes, one PE per class (one and
+// three PE bitmap words), so the wide shapes are covered by the same
+// byte-level contract as the everyday ones.
 func TestIndexedParityAtClassBoundary(t *testing.T) {
 	now := vtime.Time(5_000)
-	rng := rand.New(rand.NewSource(7))
-	fakes := make([]*fakePE, 64)
-	for i := range fakes {
-		pe := idleCPU(i)
-		pe.speed = 1 + float64(i)/100
-		pe.power = 0.5 + float64(i%7)/10
-		if rng.Intn(3) == 0 {
-			pe.idle = false
-			pe.queued = rng.Intn(3)
-			pe.avail = now + 1 + vtime.Time(rng.Intn(2000))
+	for _, n := range []int{64, 130} {
+		rng := rand.New(rand.NewSource(7))
+		fakes := make([]*fakePE, n)
+		for i := range fakes {
+			pe := idleCPU(i)
+			pe.speed = 1 + float64(i)/100
+			pe.power = 0.5 + float64(i%7)/10
+			if rng.Intn(3) == 0 {
+				pe.idle = false
+				pe.queued = rng.Intn(3)
+				pe.avail = now + 1 + vtime.Time(rng.Intn(2000))
+			}
+			fakes[i] = pe
 		}
-		fakes[i] = pe
-	}
-	var tasks []Task
-	for i := 0; i < 40; i++ {
-		tasks = append(tasks, cpuTask("t", int64(rng.Intn(1000)+1)))
-	}
-	for _, name := range Names() {
-		pSlice, err := New(name, 3)
-		if err != nil {
-			t.Fatal(err)
+		var tasks []Task
+		for i := 0; i < 40; i++ {
+			tasks = append(tasks, cpuTask("t", int64(rng.Intn(1000)+1)))
 		}
-		pIdx, _ := New(name, 3)
-		pes := make([]PE, len(fakes))
-		for i, f := range fakes {
-			pes[i] = f
-		}
-		want := pSlice.Schedule(now, tasks, pes)
-		v := viewFor(t, fakes, tasks)
-		if v.NumClasses() != 64 {
-			t.Fatalf("boundary scenario interned %d classes, want 64", v.NumClasses())
-		}
-		got := pIdx.(IndexedPolicy).ScheduleIndexed(now, v)
-		if want.Ops != got.Ops || len(want.Assignments) != len(got.Assignments) {
-			t.Fatalf("%s: diverged at the 64-class boundary: slice ops %d/%d assignments, indexed %d/%d",
-				name, want.Ops, len(want.Assignments), got.Ops, len(got.Assignments))
-		}
-		for i := range want.Assignments {
-			if want.Assignments[i] != got.Assignments[i] {
-				t.Fatalf("%s: assignment %d diverged: %+v vs %+v", name, i, want.Assignments[i], got.Assignments[i])
+		for _, name := range Names() {
+			pSlice, err := New(name, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pIdx, _ := New(name, 3)
+			pes := make([]PE, len(fakes))
+			for i, f := range fakes {
+				pes[i] = f
+			}
+			want := pSlice.Schedule(now, tasks, pes)
+			v := viewFor(t, fakes, tasks)
+			if v.NumClasses() != n {
+				t.Fatalf("boundary scenario interned %d classes, want %d", v.NumClasses(), n)
+			}
+			got := pIdx.(IndexedPolicy).ScheduleIndexed(now, v)
+			if want.Ops != got.Ops || len(want.Assignments) != len(got.Assignments) {
+				t.Fatalf("%s: diverged at %d classes: slice ops %d/%d assignments, indexed %d/%d",
+					name, n, want.Ops, len(want.Assignments), got.Ops, len(got.Assignments))
+			}
+			for i := range want.Assignments {
+				if want.Assignments[i] != got.Assignments[i] {
+					t.Fatalf("%s/%d classes: assignment %d diverged: %+v vs %+v", name, n, i, want.Assignments[i], got.Assignments[i])
+				}
 			}
 		}
 	}
