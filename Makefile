@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test lint sharing-report race fuzz serve-smoke bench bench-check benchfull experiments
+.PHONY: check fmt vet build test lint sharing-report race fuzz serve-smoke bench-smoke bench bench-check benchfull experiments
 
-check: fmt vet build test lint race serve-smoke fuzz
+check: fmt vet build test lint race serve-smoke fuzz bench-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -84,6 +84,13 @@ fuzz:
 	$(GO) test -run NONE -fuzz '^FuzzConvert$$' -fuzztime $(FUZZTIME) ./internal/outliner
 	$(GO) test -run NONE -fuzz '^FuzzProgramLowering$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run NONE -fuzz '^FuzzEventSchedule$$' -fuzztime $(FUZZTIME) ./internal/core
+
+# Bench smoke: every benchmark in the scheduler and core packages runs
+# once, so a benchmark that panics or fails its own checks (the
+# saturated-EFT bench fails if a call allocates) breaks the gate
+# instead of only compiling. No timing is recorded or compared.
+bench-smoke:
+	$(GO) test -run NONE -bench . -benchtime 1x ./internal/sched ./internal/core
 
 # `make bench` records the perf trajectory: the emulator throughput
 # benches (tasks/sec, allocs/op — including the streaming Online-sink

@@ -21,11 +21,19 @@ package sched
 //	FRFS:     P + per task: failed idle probes below the match + 1,
 //	          or the whole idle pool when nothing supports it.
 //	MET:      P + per task: its choice-list length.
-//	EFT:      P + per task: placed/32 + eftPairWeight*P.
+//	EFT:      P + per task: placed/32 + eftPairWeight*P, where placed
+//	          counts earlier tasks with a live class to wait on.
 //	RANDOM:   P + P per task.
 //	FRFS-RQ:  P + P per task while spare queue capacity remains.
 //	EFT-RQ:   P + eftPairWeight*P per task while capacity remains.
 //	EFT-PWR:  P + per task: eftPairWeight*P + its idle candidate count.
+//
+// The charge is per window task, but the host work need not be: once a
+// call's idle snapshot is empty no later task can be assigned, so EFT,
+// RANDOM and EFT-PWR stop walking the window there and add the
+// suffix's ops directly (eftSuffixOps for EFT's rescan term). EFT's
+// host cost per invocation is O(tasks until the idle snapshot empties
+// + classes x words), not O(window).
 
 import "repro/internal/vtime"
 
@@ -93,7 +101,8 @@ func (EFT) ScheduleIndexed(now vtime.Time, v *View) Result {
 	ready := v.Ready()
 	meta := v.metas()
 	placed := 0
-	for ti := range ready {
+	ti := 0
+	for ; ti < len(ready) && v.scr.idleTot > 0; ti++ {
 		// The reference implementation's tentative-placement rescan
 		// (see EFT.Schedule) plus one pair evaluation per PE.
 		res.Ops += placed / 32
@@ -132,7 +141,40 @@ func (EFT) ScheduleIndexed(now vtime.Time, v *View) Result {
 		// tentative advances to bestFinish.
 		v.setTentative(bestPE, bestFinish)
 	}
+	res.Ops += v.eftSuffixOps(meta[ti:], placed, P)
 	return res
+}
+
+// eftSuffixOps is EFT's charge for the window suffix a call reaches
+// with its idle snapshot empty. Every idle PE was taken and re-entered
+// its class heap, so a task there finds a tentative-wait target exactly
+// when one of its classes has a live member, and is never assigned:
+// each task only adds its rescan and pair charges, and bumps placed if
+// it has a live class. When every class is live and no window entry
+// has an empty class list, that is every task, and the rescan terms
+// sum in closed form; otherwise (faults, DVFS-emptied classes,
+// unplaceable tasks) a tight loop counts them.
+func (v *View) eftSuffixOps(rest []*ReadyMeta, placed, P int) int {
+	k := len(rest)
+	ops := k * eftPairWeight * P
+	if v.noClassTasks == 0 && v.allClassesLive() {
+		return ops + eftRescanOps(placed+k) - eftRescanOps(placed)
+	}
+	for _, m := range rest {
+		ops += placed / 32
+		if v.anyLiveClass(m.Classes) {
+			placed++
+		}
+	}
+	return ops
+}
+
+// eftRescanOps is the summed rescan charge sum_{j<n} j/32 of n
+// consecutive placements starting from none: q full blocks of 32
+// contribute 32*(0+1+...+(q-1)), the r-entry remainder q each.
+func eftRescanOps(n int) int {
+	q, r := n/32, n%32
+	return 32*q*(q-1)/2 + q*r
 }
 
 // ScheduleIndexed implements IndexedPolicy: RANDOM's candidate list is
@@ -146,7 +188,8 @@ func (r *Random) ScheduleIndexed(now vtime.Time, v *View) Result {
 	res.Ops += P
 	v.beginIdleScratch()
 	meta := v.metas()
-	for ti := range meta {
+	ti := 0
+	for ; ti < len(meta) && v.scr.idleTot > 0; ti++ {
 		res.Ops += P
 		classes := meta[ti].Classes
 		n := v.idleCountOf(classes)
@@ -157,6 +200,9 @@ func (r *Random) ScheduleIndexed(now vtime.Time, v *View) Result {
 		res.Assignments = append(res.Assignments, Assignment{TaskIndex: ti, PEIndex: pi})
 		v.takeIdle(pi)
 	}
+	// With the idle snapshot empty every later task has no candidate,
+	// so it only charges its scan and draws nothing.
+	res.Ops += (len(meta) - ti) * P
 	return res
 }
 
@@ -257,7 +303,8 @@ func (p PowerEFT) ScheduleIndexed(now vtime.Time, v *View) Result {
 	// slice scan that reads a PE's power before rejecting it.
 	ready := v.Ready()
 	meta := v.metas()
-	for ti := range ready {
+	ti := 0
+	for ; ti < len(ready) && v.scr.idleTot > 0; ti++ {
 		res.Ops += eftPairWeight * P
 		classes := meta[ti].Classes
 		costs := meta[ti].Costs
@@ -305,5 +352,8 @@ func (p PowerEFT) ScheduleIndexed(now vtime.Time, v *View) Result {
 		res.Assignments = append(res.Assignments, Assignment{TaskIndex: ti, PEIndex: pick})
 		v.takeIdle(pick)
 	}
+	// With the idle snapshot empty every later task has no candidate:
+	// only its pair charge remains.
+	res.Ops += (len(ready) - ti) * eftPairWeight * P
 	return res
 }

@@ -251,6 +251,11 @@ type View struct {
 	ready []Task
 	meta  []*ReadyMeta
 	head  int
+	// noClassTasks counts window entries with an empty Classes list.
+	// No policy can assign such a task, so CompactReady never removes
+	// one and the count is not decremented: it can only over-estimate,
+	// which costs eftSuffixOps its closed form, never its exactness.
+	noClassTasks int
 
 	scr viewScratch
 }
@@ -384,6 +389,7 @@ func (v *View) Reset() {
 	v.ready = v.ready[:0]
 	v.meta = v.meta[:0]
 	v.head = 0
+	v.noClassTasks = 0
 }
 
 // MarkBusy removes a PE from the idle index; idempotent.
@@ -506,6 +512,9 @@ func (v *View) AddLoad(pi, delta int) { v.load[pi] += int32(delta) }
 func (v *View) PushReady(t Task, m *ReadyMeta) {
 	v.ready = append(v.ready, t)
 	v.meta = append(v.meta, m)
+	if len(m.Classes) == 0 {
+		v.noClassTasks++
+	}
 }
 
 // CompactReady drops every window entry whose index is marked in
@@ -632,6 +641,38 @@ func (v *View) minIdleOfClass(t int) int {
 		}
 	}
 	return -1
+}
+
+// classLive reports whether class t has a member that is not faulted.
+func (v *View) classLive(t int) bool {
+	for _, x := range v.classBits[t*v.words : (t+1)*v.words] {
+		if x != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// allClassesLive reports whether every interned class has a member
+// that is not faulted.
+func (v *View) allClassesLive() bool {
+	for t := 0; t < v.numClasses; t++ {
+		if !v.classLive(t) {
+			return false
+		}
+	}
+	return true
+}
+
+// anyLiveClass reports whether any listed class has a member that is
+// not faulted.
+func (v *View) anyLiveClass(classes []int32) bool {
+	for _, c := range classes {
+		if v.classLive(int(c)) {
+			return true
+		}
+	}
+	return false
 }
 
 // classesWord ORs the membership bitmaps of every listed class for
